@@ -1,0 +1,5 @@
+"""PAR-CC / SEQ-CC benchmark: workloads, output checks, layer tracing.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/NOTES.md``.
+"""
