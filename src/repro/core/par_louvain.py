@@ -4,10 +4,12 @@ The edge set is the distributed dataset (hash-partitioned by ``src`` so a
 vertex's out-edges are co-located); the O(n) vertex state (assignment,
 cluster weights ``K_c``, vertex weights ``k``, frontier masks) is broadcast
 each BEST-MOVES iteration. One iteration is exactly one ``mapInPandas``
-pass over the cached edge partitions:
+pass over the cached edge partitions. Each partition turns its edges into
+a CSR and runs ``moves.sweep``, the move loop SEQ-CC runs too; the two
+modes differ only in the order and consistency of that loop:
 
 - **synchronous** (§3.2.1): every frontier vertex evaluates the appendix
-  move-delta formula against the same broadcast snapshot; all moves are
+  move-delta rule against the same broadcast snapshot; all moves are
   applied at once by the driver. Delta ties break toward the smallest
   cluster id, which is what makes Figure 1's lockstep pathology
   reproducible rather than an endless oscillation.
@@ -30,8 +32,12 @@ frontier job runs (the EDGEMAP role from GBBS). Multi-level refinement
 
 Every vertex may also *detach* into a fresh singleton cluster (label
 ``U + v`` in the pre-densify label space), which matters for large λ.
+Compression between levels is ``state.compress`` unless the caller
+passes another compressor (the NetworKit stand-in does).
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -39,6 +45,7 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from ..graphs.ops import GraphData, degree_array
 from .config import CCConfig
+from .moves import csr, sweep
 from .state import (
     LevelGraph,
     LevelStats,
@@ -51,7 +58,12 @@ from .state import (
     flatten,
     level0,
     map_edge_partitions,
+    record_result,
+    regime,
 )
+
+# PARALLEL-COMPRESS's signature: (level, dense assignment, clusters, *, partitions).
+Compressor = Callable[..., LevelGraph]
 
 _MOVES_SCHEMA = StructType(
     [
@@ -59,10 +71,6 @@ _MOVES_SCHEMA = StructType(
         StructField("c", LongType(), False),
         StructField("delta", DoubleType(), False),
     ]
-)
-
-_EMPTY_MOVES = pd.DataFrame({"v": [], "c": [], "delta": []}).astype(
-    {"v": "int64", "c": "int64", "delta": "float64"}
 )
 
 
@@ -102,7 +110,7 @@ def _active_mask_rows(
     return act
 
 
-def _sync_partition_moves(
+def _partition_moves(
     pdf: pd.DataFrame,
     a: np.ndarray,
     K: np.ndarray,
@@ -113,127 +121,33 @@ def _sync_partition_moves(
     all_active: bool,
     aux: np.ndarray | None,
     extra: np.ndarray | None,
-) -> pd.DataFrame:
-    """Best move per active vertex against the broadcast snapshot."""
-    src = pdf["src"].to_numpy()
-    dst = pdf["dst"].to_numpy()
-    act = _active_mask_rows(src, dst, len(a), all_active, aux, extra)
-    sel = act[src]
-    if not sel.any():
-        return _EMPTY_MOVES
-    src = src[sel]
-    dst = dst[sel]
-    w = pdf["w"].to_numpy()[sel]
-    grp = (
-        pd.DataFrame({"v": src, "c": a[dst], "w": w})
-        .groupby(["v", "c"], sort=False)["w"]
-        .sum()
-        .reset_index()
-    )
-    v = grp["v"].to_numpy()
-    c = grp["c"].to_numpy()
-    wvc = grp["w"].to_numpy()
-    cv = a[v]
-    kv = k[v]
-    own_rows = c == cv
-    own_map = pd.Series(wvc[own_rows], index=v[own_rows])
-    own_per_row = pd.Series(v).map(own_map).fillna(0.0).to_numpy()
-    base = own_per_row - lam * kv * (K[cv] - kv)
-    cand = ~own_rows
-    delta = (wvc - lam * kv * K[c]) - base
-    # Detach-to-singleton candidate, one per distinct vertex.
-    uv = np.unique(v)
-    own_uv = pd.Series(uv).map(own_map).fillna(0.0).to_numpy()
-    kuv = k[uv]
-    base_uv = own_uv - lam * kuv * (K[a[uv]] - kuv)
-    all_v = np.concatenate([v[cand], uv])
-    all_c = np.concatenate([c[cand], U + uv])
-    all_d = np.concatenate([delta[cand], -base_uv])
-    # Deterministic tie-break toward the smallest cluster id (Figure 1's
-    # synchronous pathology relies on ties resolving identically).
-    dfc = pd.DataFrame({"v": all_v, "c": all_c, "delta": all_d}).sort_values(
-        ["v", "c"], kind="stable"
-    )
-    best = dfc.loc[dfc.groupby("v")["delta"].idxmax()]
-    best = best[best["delta"] > tol]
-    return best.astype({"v": "int64", "c": "int64", "delta": "float64"})
-
-
-def _async_partition_moves(
-    pdf: pd.DataFrame,
-    a: np.ndarray,
-    K: np.ndarray,
-    k: np.ndarray,
-    lam: float,
-    U: int,
-    tol: float,
-    all_active: bool,
-    aux: np.ndarray | None,
-    extra: np.ndarray | None,
+    use_async: bool,
     seed: int,
-    n: int,
-    sample: bool = True,
+    sample: bool,
 ) -> pd.DataFrame:
-    """Sequential random-order moves with immediate partition-local updates."""
+    """Best moves of one edge partition's active vertices.
+
+    Async: random vertex order, moves applied at once to partition-local
+    copies of the assignment and ``K_c``. Sync: every vertex against the
+    broadcast snapshot.
+    """
     src = pdf["src"].to_numpy()
     dst = pdf["dst"].to_numpy()
-    w = pdf["w"].to_numpy()
-    order_idx = np.argsort(src, kind="stable")
-    src_s, dst_s, w_s = src[order_idx], dst[order_idx], w[order_idx]
-    uniq_src, starts = np.unique(src_s, return_index=True)
-    ends = np.append(starts[1:], len(src_s))
-    act = _active_mask_rows(src_s, dst_s, n, all_active, aux, extra)
-    in_frontier = act[uniq_src]
-    participate = (
-        _participates(uniq_src, seed) if sample else np.ones(len(uniq_src), dtype=bool)
-    )
-    active = np.flatnonzero(in_frontier & participate)
-    if len(active) == 0:
-        return _EMPTY_MOVES
-    # Partition-deterministic order: seed mixes the config seed, the
-    # iteration, and this partition's smallest vertex id.
-    rng = np.random.default_rng((seed * 1_000_003 + int(uniq_src[0])) % (2**63))
-    rng.shuffle(active)
-    local_a = a.copy()
-    local_K = np.zeros(U + n + 1)
-    local_K[:U] = K
-    mv_v: list[int] = []
-    mv_c: list[int] = []
-    mv_d: list[float] = []
-    for i in active:
-        v = int(uniq_src[i])
-        dsts = dst_s[starts[i] : ends[i]]
-        ws = w_s[starts[i] : ends[i]]
-        cd = local_a[dsts]
-        uniq, inv = np.unique(cd, return_inverse=True)
-        wvc = np.bincount(inv, weights=ws)
-        cv = int(local_a[v])
-        kv = float(k[v])
-        pos = np.searchsorted(uniq, cv)
-        own = float(wvc[pos]) if pos < len(uniq) and uniq[pos] == cv else 0.0
-        base = own - lam * kv * (local_K[cv] - kv)
-        deltas = (wvc - lam * kv * local_K[uniq]) - base
-        deltas[uniq == cv] = -np.inf
-        j = int(np.argmax(deltas)) if len(deltas) else -1
-        best_d = deltas[j] if j >= 0 else -np.inf
-        best_c = int(uniq[j]) if j >= 0 else -1
-        d_iso = -base
-        if d_iso > best_d:
-            best_d, best_c = d_iso, U + v
-        if best_d > tol:
-            local_K[cv] -= kv
-            local_K[best_c] += kv
-            local_a[v] = best_c
-            mv_v.append(v)
-            mv_c.append(best_c)
-            mv_d.append(float(best_d))
-    return pd.DataFrame(
-        {
-            "v": np.asarray(mv_v, "int64"),
-            "c": np.asarray(mv_c, "int64"),
-            "delta": np.asarray(mv_d, "float64"),
-        }
-    )
+    n = len(a)
+    indptr, nbrs, ws = csr(src, dst, pdf["w"].to_numpy(), n)
+    act = _active_mask_rows(src, dst, n, all_active, aux, extra)
+    verts = np.flatnonzero((indptr[1:] > indptr[:-1]) & act)
+    if use_async and len(verts):
+        if sample:
+            verts = verts[_participates(verts, seed)]
+        # Partition-deterministic order: seed mixes the config seed, the
+        # iteration, and this partition's smallest vertex id.
+        rng = np.random.default_rng((seed * 1_000_003 + int(src.min())) % (2**63))
+        rng.shuffle(verts)
+        a = a.copy()
+        K = np.concatenate([K, np.zeros(n + 1)])
+    vs, cs, ds = sweep(indptr, nbrs, ws, verts, a, K, k, lam, U, tol, update=use_async)
+    return pd.DataFrame({"v": vs, "c": cs, "delta": ds})
 
 
 def _move_pass(
@@ -252,18 +166,13 @@ def _move_pass(
     """One BEST-MOVES iteration: broadcast state, mapInPandas, collect moves."""
     sc = level.edges.sparkSession.sparkContext
     bc = sc.broadcast((assign, K, level.k, aux, extra))
-    n = level.n
     use_async = cfg.async_moves
     tol = cfg.move_tol
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         a, Kb, kb, auxb, extrab = bc.value
-        if use_async:
-            return _async_partition_moves(
-                pdf, a, Kb, kb, lam, U, tol, all_active, auxb, extrab, it_seed, n, sample
-            )
-        return _sync_partition_moves(
-            pdf, a, Kb, kb, lam, U, tol, all_active, auxb, extrab
+        return _partition_moves(
+            pdf, a, Kb, kb, lam, U, tol, all_active, auxb, extrab, use_async, it_seed, sample
         )
 
     try:
@@ -314,14 +223,10 @@ def best_moves(
                 extra,
                 sample=False,
             )
-        if len(moves):
-            vs = moves["v"].to_numpy()
-            cs = moves["c"].to_numpy()
-            real = cs != assign[vs]
-            vs, cs = vs[real], cs[real]
-        else:
-            vs = np.empty(0, dtype="int64")
-            cs = vs
+        vs = moves["v"].to_numpy()
+        cs = moves["c"].to_numpy()
+        real = cs != assign[vs]
+        vs, cs = vs[real], cs[real]
         if len(vs) == 0:
             break  # Alg. 1 line 9
         old_labels = assign[vs].copy()
@@ -354,69 +259,13 @@ def best_moves(
     return assign, total_moves, iters
 
 
-def _compress_driver_python(
-    level: LevelGraph, assign_dense: np.ndarray, n_clusters: int, *, partitions: int
-) -> LevelGraph:
-    """Single-threaded compression (NetworKit stand-in, DESIGN.md §3).
-
-    Collects the relabeled edges and aggregates them in an interpreted
-    python loop — modeling a compression step that is *not* efficiently
-    parallelized, which is exactly the difference the paper credits for
-    its speedup over NetworKit.
-    """
-    spark = level.edges.sparkSession
-    pdf = level.edges.toPandas()
-    src = assign_dense[pdf["src"].to_numpy()]
-    dst = assign_dense[pdf["dst"].to_numpy()]
-    w = pdf["w"].to_numpy()
-    agg: dict[tuple[int, int], float] = {}
-    for s, d, x in zip(src.tolist(), dst.tolist(), w.tolist()):
-        key = (s, d)
-        agg[key] = agg.get(key, 0.0) + x
-    rows_s, rows_d, rows_w = [], [], []
-    self_w = np.zeros(n_clusters)
-    for (s, d), x in agg.items():
-        if s == d:
-            self_w[s] += x / 2.0
-        else:
-            rows_s.append(s)
-            rows_d.append(d)
-            rows_w.append(x)
-    from ..graphs.ops import EDGE_SCHEMA
-
-    new_edges = (
-        spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "src": np.asarray(rows_s, "int64"),
-                    "dst": np.asarray(rows_d, "int64"),
-                    "w": np.asarray(rows_w, "float64"),
-                }
-            ),
-            schema=EDGE_SCHEMA,
-        )
-        .repartition(partitions, "src")
-        .persist()
-    )
-    m_new = new_edges.count()
-    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters) + self_w
-    return LevelGraph(
-        edges=new_edges,
-        n=n_clusters,
-        k=np.bincount(assign_dense, weights=level.k, minlength=n_clusters),
-        sq=np.bincount(assign_dense, weights=level.sq, minlength=n_clusters),
-        selfw=selfw,
-        m_directed=m_new,
-    )
-
-
 def _recurse(
     level: LevelGraph,
     depth: int,
     lam: float,
     cfg: CCConfig,
     stats: RunStats,
-    compress_mode: str,
+    compressor: Compressor,
 ) -> np.ndarray:
     """PARALLEL-CC (Algorithm 1 lines 1–11), recursive."""
     lstats = LevelStats(n=level.n, m_directed=level.m_directed)
@@ -431,12 +280,9 @@ def _recurse(
     if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
         return dense
     with Timer() as t:
-        if compress_mode == "driver_python":
-            child = _compress_driver_python(level, dense, nc, partitions=cfg.partitions)
-        else:
-            child = compress(level, dense, nc, partitions=cfg.partitions)
+        child = compressor(level, dense, nc, partitions=cfg.partitions)
     lstats.time_compress = t.s
-    child_assign = _recurse(child, depth + 1, lam, cfg, stats, compress_mode)
+    child_assign = _recurse(child, depth + 1, lam, cfg, stats, compressor)
     assign = flatten(dense, child_assign)
     child.unpersist()
     if cfg.refine:
@@ -447,31 +293,21 @@ def _recurse(
 
 
 def parallel_cc(
-    g: GraphData, cfg: CCConfig, *, compress_mode: str = "spark"
+    g: GraphData, cfg: CCConfig, *, compressor: Compressor | None = None
 ) -> tuple[np.ndarray, RunStats]:
     """Run PAR-CC / PAR-MOD on a graph; returns (assignment, stats).
 
     ``cfg.objective`` selects the vertex-weight/λ regime (§2); the
     reported objective is the raw CC value for ``"cc"`` and modularity
-    ``Q = CC/(2W)`` for ``"modularity"``.
+    ``Q = CC/(2W)`` for ``"modularity"``. ``compressor`` replaces
+    PARALLEL-COMPRESS (``state.compress``, looked up at call time).
     """
-    deg = degree_array(g)
-    two_w = float(deg.sum())
-    if cfg.objective == "modularity":
-        k0 = deg
-        lam = cfg.resolution / two_w if two_w > 0 else 0.0
-    else:
-        k0 = np.ones(g.n)
-        lam = cfg.resolution
-    stats = RunStats(algo=f"par-{cfg.objective}", lam=lam, two_w=two_w)
+    k0, stats = regime(cfg, degree_array(g), "par")
+    lam = stats.lam
     with Timer() as t:
         lvl0 = level0(g, k0, partitions=cfg.partitions)
-        assign = _recurse(lvl0, 0, lam, cfg, stats, compress_mode)
+        assign = _recurse(lvl0, 0, lam, cfg, stats, compressor or compress)
     stats.total_time = t.s
-    stats.objective = cc_objective(lvl0, assign, lam)
-    stats.reported_objective = (
-        stats.objective / two_w if cfg.objective == "modularity" and two_w > 0 else stats.objective
-    )
-    stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
+    record_result(stats, cfg, assign, cc_objective(lvl0, assign, lam))
     lvl0.unpersist()
     return assign, stats

@@ -21,7 +21,8 @@ import pandas as pd
 
 from ..graphs.gen import GenGraph
 from .config import CCConfig
-from .state import LevelStats, RunStats, Timer, densify
+from .moves import csr, sweep
+from .state import LevelStats, RunStats, Timer, coarse_weights, densify, record_result, regime
 
 
 @dataclass
@@ -45,18 +46,13 @@ def build_csr(edges: pd.DataFrame, n: int, k: np.ndarray) -> CSRLevel:
     """CSR from an undirected (u < v) edge list; selfw=0, sq=k²."""
     u = edges["u"].to_numpy()
     v = edges["v"].to_numpy()
-    w = edges["w"].to_numpy().astype("float64")
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    ww = np.concatenate([w, w])
-    order = np.argsort(src, kind="stable")
-    src, dst, ww = src[order], dst[order], ww[order]
-    indptr = np.zeros(n + 1, dtype="int64")
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    w = edges["w"].to_numpy()
+    indptr, nbrs, ws = csr(
+        np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]), n
+    )
     kk = k.astype("float64")
     return CSRLevel(
-        indptr=indptr, nbrs=dst, ws=ww, n=n, k=kk, sq=kk**2, selfw=np.zeros(n)
+        indptr=indptr, nbrs=nbrs, ws=ws, n=n, k=kk, sq=kk**2, selfw=np.zeros(n)
     )
 
 
@@ -83,40 +79,22 @@ def _sweeps(
     moves terminates (no move ⇔ no objective increase: every applied
     move strictly increases the objective).
     """
-    assign, U = densify(assign_init)
-    K = np.zeros(U + level.n + 1)
-    K[:U] = np.bincount(assign, weights=level.k, minlength=U)
+    assign = assign_init
     frontier = np.ones(level.n, dtype=bool)
     total_moves = 0
     sweeps = 0
     for _ in range(cfg.effective_num_iter):
         sweeps += 1
+        # Re-densify so singleton labels stay compact.
+        assign, U = densify(assign)
+        K = np.zeros(U + level.n + 1)
+        K[:U] = np.bincount(assign, weights=level.k, minlength=U)
         order = rng.permutation(np.flatnonzero(frontier))
-        moved: list[int] = []
-        for v in order:
-            lo, hi = level.indptr[v], level.indptr[v + 1]
-            if lo == hi:
-                continue
-            cd = assign[level.nbrs[lo:hi]]
-            uniq, inv = np.unique(cd, return_inverse=True)
-            wvc = np.bincount(inv, weights=level.ws[lo:hi])
-            cv = assign[v]
-            kv = level.k[v]
-            pos = np.searchsorted(uniq, cv)
-            own = float(wvc[pos]) if pos < len(uniq) and uniq[pos] == cv else 0.0
-            base = own - lam * kv * (K[cv] - kv)
-            deltas = (wvc - lam * kv * K[uniq]) - base
-            deltas[uniq == cv] = -np.inf
-            j = int(np.argmax(deltas))
-            best_d, best_c = deltas[j], int(uniq[j])
-            if -base > best_d:  # detach into a fresh singleton
-                best_d, best_c = -base, U + int(v)
-            if best_d > cfg.move_tol:
-                K[cv] -= kv
-                K[best_c] += kv
-                assign[v] = best_c
-                moved.append(int(v))
-        if not moved:
+        moved, _, _ = sweep(
+            level.indptr, level.nbrs, level.ws, order, assign, K, level.k, lam, U,
+            cfg.move_tol, update=True,
+        )
+        if not len(moved):
             break
         total_moves += len(moved)
         if cfg.frontier == "all":
@@ -127,11 +105,6 @@ def _sweeps(
             frontier = np.zeros(level.n, dtype=bool)
             for v in moved:
                 frontier[level.nbrs[level.indptr[v] : level.indptr[v + 1]]] = True
-        # Re-densify so singleton labels stay compact.
-        assign, U = densify(assign)
-        newK = np.zeros(U + level.n + 1)
-        newK[:U] = np.bincount(assign, weights=level.k, minlength=U)
-        K = newK
         if not frontier.any():
             break
     return densify(assign)[0], total_moves, sweeps
@@ -144,27 +117,15 @@ def compress_csr(level: CSRLevel, assign_dense: np.ndarray, n_clusters: int) -> 
     cd = assign_dense[level.nbrs]
     df = pd.DataFrame({"s": cs, "d": cd, "w": level.ws})
     agg = df.groupby(["s", "d"], sort=True)["w"].sum().reset_index()
-    selfrows = agg["s"].to_numpy() == agg["d"].to_numpy()
-    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters)
-    if selfrows.any():
-        np.add.at(
-            selfw, agg["s"].to_numpy()[selfrows], agg["w"].to_numpy()[selfrows] / 2.0
-        )
-    rest = agg[~selfrows]
-    s = rest["s"].to_numpy()
-    d = rest["d"].to_numpy()
-    w = rest["w"].to_numpy()
-    indptr = np.zeros(n_clusters + 1, dtype="int64")
-    np.add.at(indptr, s + 1, 1)
-    indptr = np.cumsum(indptr)
+    s, d, w = (agg[c].to_numpy() for c in ("s", "d", "w"))
+    loops = s == d
+    indptr, nbrs, ws = csr(s[~loops], d[~loops], w[~loops], n_clusters)
     return CSRLevel(
         indptr=indptr,
-        nbrs=d.astype("int64"),
-        ws=w.astype("float64"),
+        nbrs=nbrs,
+        ws=ws,
         n=n_clusters,
-        k=np.bincount(assign_dense, weights=level.k, minlength=n_clusters),
-        sq=np.bincount(assign_dense, weights=level.sq, minlength=n_clusters),
-        selfw=selfw,
+        **coarse_weights(level, assign_dense, n_clusters, s[loops], w[loops]),
     )
 
 
@@ -205,22 +166,11 @@ def sequential_cc(g: GenGraph, cfg: CCConfig) -> tuple[np.ndarray, RunStats]:
     w = g.edges["w"].to_numpy().astype("float64")
     np.add.at(deg, u, w)
     np.add.at(deg, v, w)
-    two_w = float(deg.sum())
-    if cfg.objective == "modularity":
-        k0 = deg
-        lam = cfg.resolution / two_w if two_w > 0 else 0.0
-    else:
-        k0 = np.ones(g.n)
-        lam = cfg.resolution
+    k0, stats = regime(cfg, deg, "seq")
     rng = np.random.default_rng(cfg.seed)
-    stats = RunStats(algo=f"seq-{cfg.objective}", lam=lam, two_w=two_w)
     lvl0 = build_csr(g.edges, g.n, k0)
     with Timer() as t:
-        assign = _recurse_seq(lvl0, 0, lam, cfg, stats, rng)
+        assign = _recurse_seq(lvl0, 0, stats.lam, cfg, stats, rng)
     stats.total_time = t.s
-    stats.objective = csr_objective(lvl0, assign, lam)
-    stats.reported_objective = (
-        stats.objective / two_w if cfg.objective == "modularity" and two_w > 0 else stats.objective
-    )
-    stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
+    record_result(stats, cfg, assign, csr_objective(lvl0, assign, stats.lam))
     return assign, stats

@@ -31,6 +31,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from ..graphs.ops import EDGE_SCHEMA, GraphData
+from .config import CCConfig
 
 
 @dataclass
@@ -136,6 +137,24 @@ def cc_objective(level: LevelGraph, assign: np.ndarray, lam: float) -> float:
     )
 
 
+def coarse_weights(
+    level, assign_dense: np.ndarray, n_clusters: int, self_src: np.ndarray, self_w: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The coarse level's ``k``/``sq``/``selfw``, shared by every compression.
+
+    ``level`` is any level with those arrays; ``self_w`` are the directed
+    self-loop sums of clusters ``self_src``, which count each unordered
+    intra-cluster edge twice.
+    """
+    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters)
+    selfw[self_src] += self_w / 2.0
+    return dict(
+        k=np.bincount(assign_dense, weights=level.k, minlength=n_clusters),
+        sq=np.bincount(assign_dense, weights=level.sq, minlength=n_clusters),
+        selfw=selfw,
+    )
+
+
 def compress(
     level: LevelGraph, assign_dense: np.ndarray, n_clusters: int, *, partitions: int
 ) -> LevelGraph:
@@ -143,7 +162,10 @@ def compress(
 
     Endpoint relabeling is a broadcast map; edge aggregation is a
     Catalyst ``groupBy(src, dst).sum(w)`` shuffle — the dataflow analog
-    of the paper's work-efficient parallel semisort compression.
+    of the paper's work-efficient parallel semisort compression. The
+    aggregate, self loops included, is cached for the length of the call,
+    so the relabel pass and the shuffle run once: the self-loop weights
+    and the new level's edges are both read from that cache.
     """
     sc = level.edges.sparkSession.sparkContext
     bc = sc.broadcast(assign_dense)
@@ -158,25 +180,30 @@ def compress(
             }
         )
 
-    relabeled = map_edge_partitions(level.edges, relabel, EDGE_SCHEMA)
-    agg = relabeled.groupBy("src", "dst").agg(F.sum("w").alias("w"))
-    new_edges = (
-        agg.where(F.col("src") != F.col("dst"))
+    agg = (
+        map_edge_partitions(level.edges, relabel, EDGE_SCHEMA)
+        .groupBy("src", "dst")
+        .agg(F.sum("w").alias("w"))
         .repartition(partitions, "src")
         .persist()
     )
-    m_new = new_edges.count()  # materialize before reading self loops
-    self_pdf = agg.where(F.col("src") == F.col("dst")).toPandas()
-    bc.destroy()
-
-    selfw = np.bincount(assign_dense, weights=level.selfw, minlength=n_clusters)
-    if len(self_pdf):
-        # Directed self-loop sums count each unordered intra edge twice.
-        selfw[self_pdf["src"].to_numpy()] += self_pdf["w"].to_numpy() / 2.0
-    k_new = np.bincount(assign_dense, weights=level.k, minlength=n_clusters)
-    sq_new = np.bincount(assign_dense, weights=level.sq, minlength=n_clusters)
+    new_edges = agg.where(F.col("src") != F.col("dst")).persist()
+    try:
+        self_pdf = agg.where(F.col("src") == F.col("dst")).toPandas()
+        m_new = new_edges.count()
+    except BaseException:
+        new_edges.unpersist()
+        raise
+    finally:
+        agg.unpersist(blocking=True)
+        bc.destroy()
     return LevelGraph(
-        edges=new_edges, n=n_clusters, k=k_new, sq=sq_new, selfw=selfw, m_directed=m_new
+        edges=new_edges,
+        n=n_clusters,
+        m_directed=m_new,
+        **coarse_weights(
+            level, assign_dense, n_clusters, self_pdf["src"].to_numpy(), self_pdf["w"].to_numpy()
+        ),
     )
 
 
@@ -227,6 +254,32 @@ class RunStats:
         """Peak simultaneous rows when each level is dropped after compression."""
         ms = [l.m_directed for l in self.levels]
         return max((ms[i] + ms[i + 1] for i in range(len(ms) - 1)), default=ms[0] if ms else 0)
+
+
+def regime(cfg: CCConfig, deg: np.ndarray, engine: str) -> tuple[np.ndarray, RunStats]:
+    """Vertex weights ``k0`` and a fresh ``RunStats`` (λ, 2W) for ``cfg.objective``.
+
+    ``"cc"``: unit weights and λ = resolution. ``"modularity"``: weighted
+    degrees and λ = γ / 2W (§2). ``deg`` are the weighted degrees.
+    """
+    two_w = float(deg.sum())
+    if cfg.objective == "modularity":
+        k0, lam = deg, (cfg.resolution / two_w if two_w > 0 else 0.0)
+    else:
+        k0, lam = np.ones(len(deg)), cfg.resolution
+    return k0, RunStats(algo=f"{engine}-{cfg.objective}", lam=lam, two_w=two_w)
+
+
+def record_result(stats: RunStats, cfg: CCConfig, assign: np.ndarray, objective: float) -> None:
+    """Store the run's CC objective, the figure it reports (CC, or Q = CC/2W)
+    and its cluster count."""
+    stats.objective = objective
+    stats.reported_objective = (
+        objective / stats.two_w
+        if cfg.objective == "modularity" and stats.two_w > 0
+        else objective
+    )
+    stats.n_clusters = int(assign.max()) + 1 if len(assign) else 0
 
 
 class Timer:

@@ -154,10 +154,3 @@ class TestKnn:
         assert gen.digits_like().points.shape[0] == 1797
         assert gen.letter_like().labels.max() == 25
 
-
-class TestSynthDataReexports:
-    def test_reexports_available(self):
-        from repro import synth_data
-
-        assert synth_data.karate().n == 34
-        assert synth_data.rmat(6, 50, seed=0).n == 64

@@ -10,6 +10,7 @@ import pandas as pd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.moves import best_move, csr, sweep
 from repro.core.seq_louvain import build_csr, compress_csr, csr_objective
 from repro.core.state import densify
 from repro.graphs.gen import GenGraph
@@ -139,3 +140,60 @@ class TestMoveDeltaProperty:
         after = csr_objective(csr, moved, lam)
         # Ordered-pair objective counts each unordered pair twice.
         assert abs((after - before) - 2.0 * delta) < 1e-8
+
+    @given(
+        ga=graph_and_assign(),
+        lam=st.floats(0.0, 1.0, allow_nan=False),
+        v=st.integers(0, 13),
+    )
+    @_SETTINGS
+    def test_best_move_is_exact_and_unbeaten(self, ga, lam, v):
+        """``best_move``'s Δ is half the true objective change of the move it
+        picks, and no cluster, nor the detach, gains more."""
+        g, assign = ga
+        v = v % g.n
+        csr_level = build_csr(g.edges, g.n, np.ones(g.n))
+        lo, hi = csr_level.indptr[v], csr_level.indptr[v + 1]
+        if lo == hi:
+            return
+        dense, nc = densify(assign)
+        K = np.bincount(dense, weights=csr_level.k, minlength=nc)
+        c, delta = best_move(
+            dense[csr_level.nbrs[lo:hi]], csr_level.ws[lo:hi], dense[v], csr_level.k[v],
+            K, lam, nc,  # nc: a label no cluster uses, standing in for U + v
+        )
+        before = csr_objective(csr_level, dense, lam)
+
+        def gain(target: int) -> float:
+            moved = dense.copy()
+            moved[v] = target
+            return csr_objective(csr_level, moved, lam) - before
+
+        assert c != dense[v]
+        assert abs(gain(c) - 2.0 * delta) < 1e-8
+        for cand in range(nc + 1):
+            if cand != dense[v]:
+                assert gain(cand) <= 2.0 * delta + 1e-8
+
+    def test_best_move_ties(self):
+        """Equal gains go to the smallest cluster id; a detach (label 2 here)
+        with equal gain loses and wins only when strictly better."""
+        K = np.array([1.0, 1.0, 1.0])
+        assert best_move(np.array([2, 1]), np.array([1.0, 1.0]), 0, 1.0, K, 0.0, 3) == (1, 1.0)
+        # v has no edge into its cluster 0 (weight 4): detaching gains λ·kv·3 = 1.5.
+        K = np.array([4.0, 4.0])
+        assert best_move(np.array([1]), np.array([2.0]), 0, 1.0, K, 0.5, 2) == (1, 1.5)
+        assert best_move(np.array([1]), np.array([1.9]), 0, 1.0, K, 0.5, 2) == (2, 1.5)
+
+    def test_sweep_update_vs_snapshot(self):
+        """Figure 1 on one edge at λ=0: judged against one snapshot both
+        singletons swap clusters; with immediate updates only the first moves."""
+        indptr, nbrs, ws = csr(np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0]), 2)
+        k = np.ones(2)
+        for update, expect in ((False, ([0, 1], [1, 0])), (True, ([0], [1]))):
+            a, K = np.arange(2), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+            vs, cs, ds = sweep(
+                indptr, nbrs, ws, np.arange(2), a, K, k, 0.0, 2, 1e-9, update=update
+            )
+            assert (vs.tolist(), cs.tolist()) == expect
+            np.testing.assert_array_equal(ds, 1.0)

@@ -123,6 +123,43 @@ class TestCompressInvariance:
         child_spark.unpersist()
         lvl.unpersist()
 
+    def test_spark_compress_scans_level_once(self, spark, monkeypatch):
+        """One compress call relabels each edge partition once and leaves
+        only the new level cached."""
+        from repro.core import state
+
+        sc = spark.sparkContext
+        scans = sc.accumulator(0)
+        orig = state.map_edge_partitions
+
+        def counting(edges, fn, schema):
+            def counted(pdf):
+                scans.add(1)
+                return fn(pdf)
+
+            return orig(edges, counted, schema)
+
+        g = planted_partition(150, avg_deg=6, mixing=0.3, seed=6)
+        lvl = level0(to_spark(spark, g, partitions=4), np.ones(g.n), partitions=4)
+        cached = sc._jsc.getPersistentRDDs().size()
+        monkeypatch.setattr(state, "map_edge_partitions", counting)
+        child = compress(lvl, *densify(random_assign(g.n, 9, 5)), partitions=4)
+        assert scans.value == lvl.edges.rdd.getNumPartitions()
+        assert sc._jsc.getPersistentRDDs().size() == cached + 1
+        child.edges.count()  # served from the cache, not by relabeling again
+        assert scans.value == lvl.edges.rdd.getNumPartitions()
+        child.unpersist()
+        lvl.unpersist()
+
+    def test_spark_compress_without_intra_edges(self, spark):
+        g = planted_partition(60, avg_deg=4, mixing=0.3, seed=7)
+        lvl = level0(to_spark(spark, g, partitions=2), np.ones(g.n), partitions=2)
+        child = compress(lvl, np.arange(g.n), g.n, partitions=2)
+        assert child.m_directed == lvl.m_directed
+        np.testing.assert_array_equal(child.selfw, np.zeros(g.n))
+        child.unpersist()
+        lvl.unpersist()
+
     def test_spark_compress_edges_oracle(self, spark):
         """The compression groupBy checked row-for-row against DuckDB."""
         g = planted_partition(150, avg_deg=6, mixing=0.3, seed=6)

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines.networkit_like import driver_python_compress
 from repro.core.config import CCConfig
 from repro.core.par_louvain import best_moves, parallel_cc
 from repro.core.seq_louvain import build_csr, csr_objective, sequential_cc
@@ -156,10 +157,36 @@ class TestParallelCC:
         gd = to_spark(spark, g, partitions=4)
         cfg = CCConfig(resolution=0.3, num_iter=5, seed=12, partitions=4)
         a1, s1 = parallel_cc(gd, cfg)
-        a2, s2 = parallel_cc(gd, cfg, compress_mode="driver_python")
+        a2, s2 = parallel_cc(gd, cfg, compressor=driver_python_compress)
         # Same engine, same seed: identical clustering either way.
         np.testing.assert_array_equal(a1, a2)
         assert s1.objective == pytest.approx(s2.objective, rel=1e-9)
+
+
+class TestEngineSeams:
+    def test_layer_seams_are_called(self, spark, monkeypatch):
+        """The per-layer benchmark trace wraps these ``par_louvain`` globals;
+        an engine that stopped calling them would silently blind it."""
+        from repro.core import par_louvain
+
+        calls = {"map_edge_partitions": 0, "compress": 0}
+
+        def counting(name):
+            orig = getattr(par_louvain, name)
+
+            def wrapper(*a, **kw):
+                calls[name] += 1
+                return orig(*a, **kw)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(par_louvain, name, counting(name))
+        gd = to_spark(spark, _two_cliques(), partitions=2)
+        assign, _ = parallel_cc(gd, CCConfig(resolution=0.4, num_iter=5, seed=1, partitions=2))
+        assert len(np.unique(assign)) == 2
+        assert calls["map_edge_partitions"] > 0
+        assert calls["compress"] > 0
 
 
 class TestSyncVsAsync:
