@@ -38,6 +38,9 @@ class CCConfig:
             raise ValueError(f"unknown frontier {self.frontier!r}")
         if not (0.0 <= self.resolution):
             raise ValueError("resolution must be non-negative")
+        for name in ("num_iter", "max_levels", "partitions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     @property
     def effective_num_iter(self) -> int:

@@ -27,8 +27,9 @@ vertices, Alg. 1 line 10) / ``clusters`` (members and neighbors of the
 clusters movers left and joined) — are *fused into the move pass*: since
 a vertex's edges are co-located, "has a neighbor in the moved set" is
 computable per partition from the broadcast mask, so no separate
-frontier job runs (the EDGEMAP role from GBBS). Multi-level refinement
-(§3.2.3, Alg. 1 line 9) re-runs BEST-MOVES per level while unwinding.
+frontier job runs (the EDGEMAP role from GBBS). The level loop, with
+multi-level refinement (§3.2.3) and level lifetime, is ``state.louvain``,
+shared with SEQ-CC; level 0 is held until the final objective.
 
 Every vertex may also *detach* into a fresh singleton cluster (label
 ``U + v`` in the pre-densify label space), which matters for large λ.
@@ -37,6 +38,7 @@ passes another compressor (the NetworKit stand-in does).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,22 +50,18 @@ from .config import CCConfig
 from .moves import csr, sweep
 from .state import (
     LevelGraph,
-    LevelStats,
     RunStats,
     Timer,
     cc_objective,
     cluster_weights,
     compress,
     densify,
-    flatten,
     level0,
+    louvain,
     map_edge_partitions,
     record_result,
     regime,
 )
-
-# PARALLEL-COMPRESS's signature: (level, dense assignment, clusters, *, partitions).
-Compressor = Callable[..., LevelGraph]
 
 _MOVES_SCHEMA = StructType(
     [
@@ -259,55 +257,32 @@ def best_moves(
     return assign, total_moves, iters
 
 
-def _recurse(
-    level: LevelGraph,
-    depth: int,
-    lam: float,
-    cfg: CCConfig,
-    stats: RunStats,
-    compressor: Compressor,
-) -> np.ndarray:
-    """PARALLEL-CC (Algorithm 1 lines 1–11), recursive."""
-    lstats = LevelStats(n=level.n, m_directed=level.m_directed)
-    stats.levels.append(lstats)
-    seed_base = cfg.seed * 10_007 + depth * 1_000
-    with Timer() as t:
-        assign, nmoves, iters = best_moves(
-            level, np.arange(level.n), lam, cfg, seed_base
-        )
-    lstats.time_moves, lstats.iters, lstats.moves = t.s, iters, nmoves
-    dense, nc = densify(assign)
-    if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
-        return dense
-    with Timer() as t:
-        child = compressor(level, dense, nc, partitions=cfg.partitions)
-    lstats.time_compress = t.s
-    child_assign = _recurse(child, depth + 1, lam, cfg, stats, compressor)
-    assign = flatten(dense, child_assign)
-    child.unpersist()
-    if cfg.refine:
-        with Timer() as t:
-            assign, rmoves, riters = best_moves(level, assign, lam, cfg, seed_base + 500)
-        lstats.time_refine, lstats.refine_iters, lstats.refine_moves = t.s, riters, rmoves
-    return densify(assign)[0]
-
-
 def parallel_cc(
-    g: GraphData, cfg: CCConfig, *, compressor: Compressor | None = None
+    g: GraphData, cfg: CCConfig, *, compressor: Callable[..., LevelGraph] | None = None
 ) -> tuple[np.ndarray, RunStats]:
     """Run PAR-CC / PAR-MOD on a graph; returns (assignment, stats).
 
     ``cfg.objective`` selects the vertex-weight/λ regime (§2); the
     reported objective is the raw CC value for ``"cc"`` and modularity
-    ``Q = CC/(2W)`` for ``"modularity"``. ``compressor`` replaces
-    PARALLEL-COMPRESS (``state.compress``, looked up at call time).
+    ``Q = CC/(2W)`` for ``"modularity"``. ``compressor(level, dense,
+    n_clusters, *, partitions)`` replaces PARALLEL-COMPRESS
+    (``state.compress``, looked up at call time).
     """
     k0, stats = regime(cfg, degree_array(g), "par")
     lam = stats.lam
+    compress_level = partial(compressor or compress, partitions=cfg.partitions)
+
+    def moves(level, assign, depth, refine):  # best_moves looked up per call: a probe seam
+        seed_base = cfg.seed * 10_007 + depth * 1_000 + (500 if refine else 0)
+        return best_moves(level, assign, lam, cfg, seed_base)
+
     with Timer() as t:
         lvl0 = level0(g, k0, partitions=cfg.partitions)
-        assign = _recurse(lvl0, 0, lam, cfg, stats, compressor or compress)
-    stats.total_time = t.s
-    record_result(stats, cfg, assign, cc_objective(lvl0, assign, lam))
-    lvl0.unpersist()
+    try:
+        with Timer() as t_levels:
+            assign = louvain(lvl0, moves, compress_level, LevelGraph.unpersist, cfg, stats)
+        stats.total_time = t.s + t_levels.s
+        record_result(stats, cfg, assign, cc_objective(lvl0, assign, lam))
+    finally:
+        lvl0.unpersist()
     return assign, stats

@@ -5,10 +5,11 @@ are visited in a fresh random permutation each sweep and moved
 *immediately* (exact, fully consistent cluster weights — the sequential
 dependency the paper proves P-complete to parallelize). Sweeps repeat
 while the objective increases, capped at ``num_iter`` unless
-``to_convergence`` (the paper's SEQ^CON superscript). Compression,
-flattening, the neighbors-of-moved-vertices frontier, and multi-level
-refinement mirror the parallel engine (§4.2 notes the sequential
-baselines include the applicable optimizations).
+``to_convergence`` (the paper's SEQ^CON superscript). The level loop
+(compression, flattening, multi-level refinement) is the parallel
+engine's, ``state.louvain``, and the neighbors-of-moved-vertices frontier
+mirrors it (§4.2 notes the sequential baselines include the applicable
+optimizations).
 
 SEQ-CC / SEQ-MOD run here; PAR-CC / PAR-MOD in ``par_louvain``.
 """
@@ -22,7 +23,7 @@ import pandas as pd
 from ..graphs.gen import GenGraph
 from .config import CCConfig
 from .moves import csr, sweep
-from .state import LevelStats, RunStats, Timer, coarse_weights, densify, record_result, regime
+from .state import RunStats, Timer, coarse_weights, densify, louvain, record_result, regime
 
 
 @dataclass
@@ -129,35 +130,6 @@ def compress_csr(level: CSRLevel, assign_dense: np.ndarray, n_clusters: int) -> 
     )
 
 
-def _recurse_seq(
-    level: CSRLevel,
-    depth: int,
-    lam: float,
-    cfg: CCConfig,
-    stats: RunStats,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    lstats = LevelStats(n=level.n, m_directed=level.m_directed)
-    stats.levels.append(lstats)
-    with Timer() as t:
-        assign, nmoves, sweeps = _sweeps(level, np.arange(level.n), lam, cfg, rng)
-    lstats.time_moves, lstats.iters, lstats.moves = t.s, sweeps, nmoves
-    dense, nc = densify(assign)
-    if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
-        return dense
-    with Timer() as t:
-        child = compress_csr(level, dense, nc)
-    lstats.time_compress = t.s
-    child_assign = _recurse_seq(child, depth + 1, lam, cfg, stats, rng)
-    assign = dense
-    assign = child_assign[assign]  # SEQUENTIAL-FLATTEN
-    if cfg.refine:
-        with Timer() as t:
-            assign, rmoves, rsweeps = _sweeps(level, assign, lam, cfg, rng)
-        lstats.time_refine, lstats.refine_iters, lstats.refine_moves = t.s, rsweeps, rmoves
-    return densify(assign)[0]
-
-
 def sequential_cc(g: GenGraph, cfg: CCConfig) -> tuple[np.ndarray, RunStats]:
     """Run SEQ-CC / SEQ-MOD on a generated graph; returns (assignment, stats)."""
     deg = np.zeros(g.n)
@@ -169,8 +141,12 @@ def sequential_cc(g: GenGraph, cfg: CCConfig) -> tuple[np.ndarray, RunStats]:
     k0, stats = regime(cfg, deg, "seq")
     rng = np.random.default_rng(cfg.seed)
     lvl0 = build_csr(g.edges, g.n, k0)
+
+    def moves(level, assign, depth, refine):  # one rng, in the loop's call order
+        return _sweeps(level, assign, stats.lam, cfg, rng)
+
     with Timer() as t:
-        assign = _recurse_seq(lvl0, 0, stats.lam, cfg, stats, rng)
+        assign = louvain(lvl0, moves, compress_csr, lambda level: None, cfg, stats)
     stats.total_time = t.s
     record_result(stats, cfg, assign, csr_objective(lvl0, assign, stats.lam))
     return assign, stats

@@ -26,6 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
+from pyspark import StorageLevel
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
@@ -44,9 +45,11 @@ class LevelGraph:
     sq: np.ndarray
     selfw: np.ndarray
     m_directed: int = 0  # cached row count of ``edges``
+    owns_cache: bool = True  # False when ``edges`` is a caller's cached input
 
     def unpersist(self) -> None:
-        self.edges.unpersist()
+        if self.owns_cache:
+            self.edges.unpersist()
 
 
 def densify(assign: np.ndarray) -> tuple[np.ndarray, int]:
@@ -63,20 +66,28 @@ def cluster_weights(assign_dense: np.ndarray, k: np.ndarray, n_clusters: int) ->
 def level0(
     g: GraphData, k: np.ndarray, *, partitions: int
 ) -> LevelGraph:
-    """Wrap an input graph as the hierarchy's level 0 (selfw=0, sq=k²)."""
+    """Wrap an input graph as the hierarchy's level 0 (selfw=0, sq=k²).
+
+    An input already cached with ``partitions`` partitions stays cached.
+    """
     edges = g.edges
     if edges.rdd.getNumPartitions() != partitions:
         edges = edges.repartition(partitions, "src")
-    edges = edges.persist()
-    m = edges.count()  # materialize the cache
-    return LevelGraph(
-        edges=edges,
+    owns_cache = edges.storageLevel == StorageLevel.NONE
+    level = LevelGraph(
+        edges=edges.persist() if owns_cache else edges,
         n=g.n,
         k=k.astype("float64"),
         sq=(k.astype("float64") ** 2),
         selfw=np.zeros(g.n),
-        m_directed=m,
+        owns_cache=owns_cache,
     )
+    try:
+        level.m_directed = level.edges.count()  # materialize the cache
+    except BaseException:
+        level.unpersist()
+        raise
+    return level
 
 
 def map_edge_partitions(
@@ -251,7 +262,10 @@ class RunStats:
 
     @property
     def retained_edges_norefine(self) -> int:
-        """Peak simultaneous rows when each level is dropped after compression."""
+        """Peak simultaneous rows when each level is dropped after compression.
+
+        A model that leaves out level 0, which the engine holds until the end.
+        """
         ms = [l.m_directed for l in self.levels]
         return max((ms[i] + ms[i + 1] for i in range(len(ms) - 1)), default=ms[0] if ms else 0)
 
@@ -291,3 +305,45 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.s = time.perf_counter() - self._t0
+
+
+def louvain(
+    level,
+    moves: Callable,
+    compress: Callable,
+    release: Callable,
+    cfg: CCConfig,
+    stats: RunStats,
+    depth: int = 0,
+) -> np.ndarray:
+    """The level loop of Algorithms 1 and 2; returns a dense assignment.
+
+    ``moves(level, assign, depth, refine)`` -> (assignment, moves, iterations);
+    stop if nothing moved or merged, or at ``cfg.max_levels``; else
+    ``compress(level, dense, n_clusters)``, recurse, FLATTEN, and refine
+    (§3.2.3). Each coarse level is ``release``d after its subtree, on error
+    too, and without refinement a level below level 0 once its child is built
+    (so ``release`` must tolerate a second call).
+    """
+    lstats = LevelStats(n=level.n, m_directed=level.m_directed)
+    stats.levels.append(lstats)
+    with Timer() as t:
+        assign, nmoves, iters = moves(level, np.arange(level.n), depth, False)
+    lstats.time_moves, lstats.iters, lstats.moves = t.s, iters, nmoves
+    dense, nc = densify(assign)
+    if nmoves == 0 or nc >= level.n or depth + 1 >= cfg.max_levels:
+        return dense
+    with Timer() as t:
+        child = compress(level, dense, nc)
+    lstats.time_compress = t.s
+    if depth > 0 and not cfg.refine:
+        release(level)
+    try:
+        assign = flatten(dense, louvain(child, moves, compress, release, cfg, stats, depth + 1))
+    finally:
+        release(child)
+    if cfg.refine:
+        with Timer() as t:
+            assign, rmoves, riters = moves(level, assign, depth, True)
+        lstats.time_refine, lstats.refine_iters, lstats.refine_moves = t.s, riters, rmoves
+    return densify(assign)[0]

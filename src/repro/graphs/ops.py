@@ -55,17 +55,6 @@ def to_spark(spark: SparkSession, g: GenGraph, *, partitions: int = 8) -> GraphD
     return GraphData(edges=df, n=g.n, name=g.name)
 
 
-def symmetrize(edges: DataFrame) -> DataFrame:
-    """Both directions of an undirected (u < v) edge DataFrame."""
-    fwd = edges.select(
-        F.col("u").alias("src"), F.col("v").alias("dst"), F.col("w").alias("w")
-    )
-    rev = edges.select(
-        F.col("v").alias("src"), F.col("u").alias("dst"), F.col("w").alias("w")
-    )
-    return fwd.unionByName(rev)
-
-
 def degrees(g: GraphData) -> DataFrame:
     """Weighted degree per vertex: ``deg(v) = sum of w over incident edges``.
 

@@ -34,6 +34,13 @@ class TestCCConfig:
         with pytest.raises(ValueError):
             CCConfig(resolution=-0.1)
 
+    @pytest.mark.parametrize("field", ["num_iter", "max_levels", "partitions"])
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_counts_below_one(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            CCConfig(**{field: bad})
+        assert getattr(CCConfig(**{field: 1}), field) == 1
+
     def test_with_returns_new_frozen_copy(self):
         cfg = CCConfig(resolution=0.2)
         cfg2 = cfg.with_(resolution=0.7, refine=False)

@@ -5,7 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graphs import gen
-from repro.graphs.ops import degree_array, degrees, symmetrize, to_spark, validate
+from repro.graphs.ops import degree_array, degrees, to_spark, validate
 from repro.oracle import assert_equivalent
 
 
@@ -70,15 +70,3 @@ class TestDegrees:
     def test_handshake(self, small_gd, small_graph):
         # Sum of unweighted degrees == 2m.
         assert degree_array(small_gd).sum() == pytest.approx(2 * small_graph.m)
-
-
-class TestSymmetrize:
-    def test_symmetrize_counts(self, spark, small_graph):
-        und = spark.createDataFrame(small_graph.edges)
-        sym = symmetrize(und)
-        assert sym.count() == 2 * small_graph.m
-        assert_equivalent(
-            sym.groupBy().agg(F.sum("w").alias("tw")),
-            "SELECT 2 * SUM(w) AS tw FROM e",
-            e=small_graph.edges,
-        )

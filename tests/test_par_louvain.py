@@ -4,6 +4,7 @@ with the sequential engine."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import StorageLevel
 
 from repro.baselines.networkit_like import driver_python_compress
 from repro.core.config import CCConfig
@@ -163,30 +164,151 @@ class TestParallelCC:
         assert s1.objective == pytest.approx(s2.objective, rel=1e-9)
 
 
+def _counting(module, name, calls):
+    orig = getattr(module, name)
+
+    def wrapper(*a, **kw):
+        calls[name] += 1
+        return orig(*a, **kw)
+
+    return wrapper
+
+
 class TestEngineSeams:
     def test_layer_seams_are_called(self, spark, monkeypatch):
-        """The per-layer benchmark trace wraps these ``par_louvain`` globals;
-        an engine that stopped calling them would silently blind it."""
-        from repro.core import par_louvain
+        """The per-layer benchmark trace wraps these ``par_louvain`` and
+        ``seq_louvain`` globals; an engine that stopped calling them would
+        silently blind it."""
+        from repro.core import par_louvain, seq_louvain
 
-        calls = {"map_edge_partitions": 0, "compress": 0}
-
-        def counting(name):
-            orig = getattr(par_louvain, name)
-
-            def wrapper(*a, **kw):
-                calls[name] += 1
-                return orig(*a, **kw)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(par_louvain, name, counting(name))
-        gd = to_spark(spark, _two_cliques(), partitions=2)
-        assign, _ = parallel_cc(gd, CCConfig(resolution=0.4, num_iter=5, seed=1, partitions=2))
+        calls = {"map_edge_partitions": 0, "compress": 0, "best_moves": 0, "compress_csr": 0}
+        for name in ("map_edge_partitions", "compress", "best_moves"):
+            monkeypatch.setattr(par_louvain, name, _counting(par_louvain, name, calls))
+        monkeypatch.setattr(
+            seq_louvain, "compress_csr", _counting(seq_louvain, "compress_csr", calls)
+        )
+        g = _two_cliques()
+        cfg = CCConfig(resolution=0.4, num_iter=5, seed=1, partitions=2)
+        assign, _ = parallel_cc(to_spark(spark, g, partitions=2), cfg)
+        assert len(np.unique(assign)) == 2
+        assign, _ = sequential_cc(g, cfg)
         assert len(np.unique(assign)) == 2
         assert calls["map_edge_partitions"] > 0
         assert calls["compress"] > 0
+        assert calls["best_moves"] > 0
+        assert calls["compress_csr"] > 0
+
+
+def _persisted(spark) -> int:
+    return len(spark.sparkContext._jsc.getPersistentRDDs())
+
+
+class TestLevelLifetime:
+    """Cached level RDDs, counted at each ``compress`` return on a graph
+    that coarsens through 4 levels (120 vertices, one move iteration per
+    level). Counts are relative to what the session held before the call."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return planted_partition(120, avg_deg=6, mixing=0.3, seed=20)
+
+    @staticmethod
+    def _cfg(refine: bool) -> CCConfig:
+        return CCConfig(
+            resolution=0.1, num_iter=1, seed=3, partitions=2, max_levels=4, refine=refine
+        )
+
+    def _held_at_compress(self, spark, monkeypatch, g, cfg):
+        from repro.core import par_louvain
+
+        orig = par_louvain.compress
+        base = _persisted(spark)
+        held = []
+
+        def counting(*a, **kw):
+            out = orig(*a, **kw)
+            held.append(_persisted(spark) - base)
+            return out
+
+        monkeypatch.setattr(par_louvain, "compress", counting)
+        _, stats = parallel_cc(to_spark(spark, g, partitions=2), cfg)
+        assert len(stats.levels) == 4
+        assert _persisted(spark) == base
+        return held
+
+    def test_norefine_holds_level0_and_two_adjacent_levels(self, spark, monkeypatch, deep):
+        held = self._held_at_compress(spark, monkeypatch, deep, self._cfg(refine=False))
+        assert held == [2, 3, 3]
+
+    def test_refine_holds_every_level_down_to_the_new_one(self, spark, monkeypatch, deep):
+        held = self._held_at_compress(spark, monkeypatch, deep, self._cfg(refine=True))
+        assert held == [2, 3, 4]  # new level at depth d: d + 1 levels held
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_nothing_cached_after_an_error(self, spark, monkeypatch, deep, refine):
+        from repro.core import par_louvain
+
+        orig = par_louvain.best_moves
+        calls = []
+
+        def failing(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return orig(*a, **kw)
+
+        monkeypatch.setattr(par_louvain, "best_moves", failing)
+        base = _persisted(spark)
+        with pytest.raises(RuntimeError, match="injected"):
+            parallel_cc(to_spark(spark, deep, partitions=2), self._cfg(refine))
+        assert _persisted(spark) == base
+
+    def test_caller_cached_input_stays_cached(self, spark, deep):
+        gd = to_spark(spark, deep, partitions=2)
+        gd.edges.cache().count()
+        before = gd.edges.storageLevel
+        try:
+            parallel_cc(gd, self._cfg(refine=False))
+            assert gd.edges.storageLevel == before != StorageLevel.NONE
+        finally:
+            gd.edges.unpersist()
+
+
+def _run_engine(engine: str, spark, g: GenGraph, cfg: CCConfig):
+    if engine == "parallel_cc":
+        return parallel_cc(to_spark(spark, g, partitions=cfg.partitions), cfg)
+    return sequential_cc(g, cfg)
+
+
+def _graph(name: str, n: int, rows: list[tuple[int, int, float]]) -> GenGraph:
+    edges = pd.DataFrame(rows, columns=["u", "v", "w"]).astype(
+        {"u": "int64", "v": "int64", "w": "float64"}
+    )
+    return GenGraph(name=name, n=n, edges=edges)
+
+
+@pytest.mark.parametrize("engine", ["parallel_cc", "sequential_cc"])
+class TestEdgeCases:
+    """Defined results on degenerate inputs, for both engines."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edge_free_graph_stays_singletons(self, spark, engine, n):
+        assign, stats = _run_engine(engine, spark, _graph("empty", n, []), CCConfig(partitions=2))
+        np.testing.assert_array_equal(assign, np.arange(n))
+        assert stats.objective == 0.0 and stats.n_clusters == n
+
+    def test_zero_resolution_merges_karate(self, spark, engine):
+        g = karate()
+        assign, stats = _run_engine(engine, spark, g, CCConfig(resolution=0.0, seed=1, partitions=2))
+        assert len(np.unique(assign)) == 1
+        assert stats.objective == pytest.approx(2 * g.m) == 156
+
+    def test_more_partitions_than_vertices(self, spark, engine):
+        g = _graph("path", 3, [(0, 1, 1.0), (1, 2, 1.0)])
+        cfg = CCConfig(resolution=0.1, seed=1, partitions=8)
+        assign, stats = _run_engine(engine, spark, g, cfg)
+        assert len(assign) == 3
+        assert stats.objective == pytest.approx(brute_cc(g, assign, 0.1)) and stats.objective > 0
 
 
 class TestSyncVsAsync:
